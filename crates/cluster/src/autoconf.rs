@@ -106,7 +106,8 @@ impl std::fmt::Display for AutoConfError {
 impl std::error::Error for AutoConfError {}
 
 /// Runs Algorithm 1: selects ε and `min_samples` from the dissimilarity
-/// matrix.
+/// matrix, with one row scan per item answering the whole k sweep (see
+/// [`auto_configure_parallel`]).
 ///
 /// # Errors
 ///
@@ -115,7 +116,7 @@ pub fn auto_configure(
     matrix: &CondensedMatrix,
     config: &AutoConfig,
 ) -> Result<SelectedParams, AutoConfError> {
-    auto_configure_with_provider(&MatrixProvider::new(matrix), config)
+    auto_configure_parallel(&MatrixProvider::new(matrix), config, 1)
 }
 
 /// Runs Algorithm 1 with k-NN dissimilarities read off a prebuilt
@@ -135,8 +136,9 @@ pub fn auto_configure_with_index(
 }
 
 /// Runs Algorithm 1 with k-NN dissimilarities answered by any
-/// [`NeighborProvider`] backend — the entry point the matrix and index
-/// variants funnel into.
+/// [`NeighborProvider`] backend, one [`NeighborProvider::knn`] query
+/// per item and candidate `k` — the serial per-k reference the
+/// one-pass [`auto_configure_parallel`] is pinned against.
 ///
 /// The k-th neighbor dissimilarity is the same order statistic for
 /// every backend, so all of them select exactly the parameters
@@ -152,13 +154,14 @@ pub fn auto_configure_with_provider<P: NeighborProvider + ?Sized>(
     auto_configure_impl(provider.len(), |k| provider.knn_dissimilarities(k), config)
 }
 
-/// Runs Algorithm 1 with each candidate `k`'s full k-NN sweep answered
-/// by the provider's batched parallel path
-/// ([`NeighborProvider::knn_dissimilarities_parallel`]): the n queries
-/// of every ECDF fan out over `threads` workers instead of running one
-/// at a time.
+/// Runs Algorithm 1 off one k_max nearest-neighbor pass: the provider
+/// answers every item's ascending 1…[`required_k_max`] neighbor
+/// dissimilarities at once ([`NeighborProvider::knn_table`], fanned out
+/// over `threads` workers), and the whole k sweep reads that table
+/// through [`auto_configure_with_knn`].
 ///
-/// The batch path writes each item's answer into its own slot, so the
+/// Row entry k of the table is the k-th order statistic the per-k
+/// query returns, and each row is written into its own slot, so the
 /// selected parameters are bit-identical to
 /// [`auto_configure_with_provider`] at any thread count.
 ///
@@ -170,11 +173,11 @@ pub fn auto_configure_parallel<P: NeighborProvider + Sync + ?Sized>(
     config: &AutoConfig,
     threads: usize,
 ) -> Result<SelectedParams, AutoConfError> {
-    auto_configure_impl(
-        provider.len(),
-        |k| provider.knn_dissimilarities_parallel(k, threads),
-        config,
-    )
+    let n = provider.len();
+    if n < 4 {
+        return Err(AutoConfError::TooFewSegments { n });
+    }
+    auto_configure_with_knn(&provider.knn_table(required_k_max(n), threads), config)
 }
 
 /// The largest `k` Algorithm 1 will query for `n` items — what a
@@ -186,8 +189,9 @@ pub fn required_k_max(n: usize) -> usize {
 }
 
 /// Runs Algorithm 1 with k-NN dissimilarities read off a precomputed
-/// [`KnnTable`] (built from a tiled matrix without materializing the
-/// full matrix or neighbor lists).
+/// [`KnnTable`] — one provider pass
+/// ([`NeighborProvider::knn_table`]) or the merged per-tile partials of
+/// a tiled matrix build.
 ///
 /// The table holds the same k-th order statistics a matrix scan
 /// produces, so this selects exactly the parameters [`auto_configure`]

@@ -157,9 +157,9 @@ pub fn dbscan_weighted_with_provider<P: NeighborProvider + ?Sized>(
     })
 }
 
-/// [`dbscan_with_index`] with the per-item core predicate evaluated in
-/// parallel on the `parkit` scheduler before the (serial, deterministic)
-/// region growing.
+/// [`dbscan_with_index`] with every region query answered in parallel on
+/// the `parkit` scheduler before the (serial, deterministic) region
+/// growing.
 pub fn dbscan_parallel_with_index(
     index: &NeighborIndex,
     eps: f64,
@@ -170,14 +170,14 @@ pub fn dbscan_parallel_with_index(
     dbscan_weighted_parallel_with_index(index, eps, min_samples, &weights, threads)
 }
 
-/// [`dbscan_weighted_with_index`] with the per-item core predicate
-/// evaluated in parallel on the `parkit` scheduler.
+/// [`dbscan_weighted_with_index`] with every region query answered in
+/// parallel on the `parkit` scheduler.
 ///
 /// Whether an item is core — its ε-neighborhood weight reaches
-/// `min_samples` — is an integer sum over its own index row, written to
-/// its own slot, so the predicate vector is exact and independent of
-/// scheduling; the region growing then consumes it in the same serial
-/// index order as the other entry points. The clustering is therefore
+/// `min_samples` — is an integer sum over its own region, so the
+/// predicate vector is exact and independent of scheduling; the region
+/// growing then consumes it in the same serial index order as the
+/// other entry points. The clustering is therefore
 /// identical to [`dbscan_weighted_with_index`] for any thread count.
 ///
 /// # Panics
@@ -204,16 +204,14 @@ pub fn dbscan_weighted_parallel_with_index(
 /// serially, query-free, in the same index order, so the clustering is
 /// identical for any thread count.
 ///
-/// Two parallel phases feed the serial growing. First the per-item core
-/// predicate: each item's ε-neighborhood weight is a sum over its own
-/// region query, written to its own slot. Then the *core* points'
-/// regions — the only regions [`dbscan_core_impl`] ever consumes — are
-/// answered once through
-/// [`NeighborProvider::neighbors_within_batch`] and handed to the
-/// growing as a lookup table, so no neighbor query runs single-threaded
-/// and no core point is queried during the breadth-first expansion.
-/// Memory holds only the core regions (the expansion frontier the
-/// serial variant materializes piecemeal anyway).
+/// Each item is queried exactly once: one
+/// [`NeighborProvider::neighbors_within_batch`] over all items answers
+/// every region, each item's core predicate is the weight sum over its
+/// own region, and the core points' regions — the only ones
+/// [`dbscan_core_impl`] consumes — feed the growing as a lookup table.
+/// A non-core region weighs less than `min_samples`, so with weights of
+/// at least one it holds fewer than `min_samples` entries: keeping it
+/// costs O(n · min_samples) on top of the core regions.
 ///
 /// # Panics
 ///
@@ -227,39 +225,24 @@ pub fn dbscan_weighted_parallel_with_provider<P: NeighborProvider + Sync>(
 ) -> Clustering {
     let n = provider.len();
     assert!(weights.len() >= n, "need a weight per item");
-    let mut core = vec![false; n];
-    if n > 0 {
-        let core_ptr = SendFlagPtr(core.as_mut_ptr());
-        parkit::for_each_chunk(threads, n, 16, |items| {
-            let core_ptr = &core_ptr;
-            let mut nb: Vec<(f64, u32)> = Vec::new();
-            for i in items {
-                provider.neighbors_within(i, eps, &mut nb);
-                let w = weights[i] + nb.iter().map(|&(_, j)| weights[j as usize]).sum::<usize>();
-                // SAFETY: slot `i` is written by exactly one worker (the
-                // scheduler hands out each item once), so writes never
-                // alias.
-                unsafe { *core_ptr.0.add(i) = w >= min_samples };
-            }
-        });
-    }
-    let core_items: Vec<usize> = (0..n).filter(|&i| core[i]).collect();
-    let regions = provider.neighbors_within_batch(&core_items, eps, threads);
-    let mut region_slot = vec![usize::MAX; n];
-    for (slot, &i) in core_items.iter().enumerate() {
-        region_slot[i] = slot;
-    }
+    let items: Vec<usize> = (0..n).collect();
+    let regions = provider.neighbors_within_batch(&items, eps, threads);
+    let core: Vec<bool> = regions
+        .iter()
+        .enumerate()
+        .map(|(i, region)| {
+            weights[i]
+                + region
+                    .iter()
+                    .map(|&(_, j)| weights[j as usize])
+                    .sum::<usize>()
+                >= min_samples
+        })
+        .collect();
     dbscan_core_impl(n, &core, |i, out| {
-        // The growing only queries core items, whose regions were
-        // batched above.
-        out.extend(regions[region_slot[i]].iter().map(|&(_, j)| j as usize));
+        out.extend(regions[i].iter().map(|&(_, j)| j as usize));
     })
 }
-
-/// A raw pointer wrapper asserting cross-thread transferability for the
-/// disjoint-slot core-predicate writes above.
-struct SendFlagPtr(*mut bool);
-unsafe impl Sync for SendFlagPtr {}
 
 /// Runs DBSCAN over *weighted* items: item `i` stands for `weights[i]`
 /// identical samples at the same position.

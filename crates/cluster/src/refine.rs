@@ -69,8 +69,8 @@ pub fn merge_clusters_with_index(
 
 /// Merge refinement with pair lookups and link-density region queries
 /// answered by any [`NeighborProvider`] backend — the entry point every
-/// other merge function funnels into (with `threads` worth of
-/// statistics parallelism when > 1).
+/// other merge function funnels into, with statistics, links and merge
+/// decisions fanned out over `threads` workers.
 ///
 /// Produces exactly the clustering [`merge_clusters`] would: the
 /// ε-region around a link segment holds the same cluster-mates for
@@ -85,14 +85,14 @@ pub fn merge_clusters_with_provider<P: NeighborProvider + Sync>(
     merge_impl(clustering, provider, params, threads)
 }
 
-/// [`merge_clusters_with_index`] with the per-cluster statistics of each
-/// round (mean/max intra-cluster dissimilarity, `minmed`) computed in
-/// parallel on the `parkit` scheduler.
+/// [`merge_clusters_with_index`] with the per-cluster statistics
+/// (mean/max intra-cluster dissimilarity, `minmed`), the cross-cluster
+/// links and the merge decisions computed in parallel on the `parkit`
+/// scheduler.
 ///
-/// Each cluster's statistics are folded over its members in a fixed
-/// order into the cluster's own slot, so the vector — and the merge
-/// decisions consuming it in serial pair order — are bit-identical to
-/// the serial rounds for any thread count.
+/// Each statistic is folded over its cluster's members in a fixed order
+/// and every answer lands in its own slot, so the rounds — and the
+/// clustering — are bit-identical for any thread count.
 pub fn merge_clusters_parallel(
     clustering: &Clustering,
     matrix: &CondensedMatrix,
@@ -108,104 +108,253 @@ pub fn merge_clusters_parallel(
     )
 }
 
+/// The one merge loop behind every entry point. Each round decides the
+/// §III-F conditions for cluster pairs, unites the pairs that pass, and
+/// repeats until no pair merges (or `max_merge_rounds` is reached).
+///
+/// State carries from round to round so that no answer is computed
+/// twice, yet every decision sees exactly the inputs a from-scratch
+/// round would (see DESIGN.md §2.6b):
+///
+/// - a pair of clusters that both kept their members was decided
+///   `false` last round from identical inputs, so only pairs touching a
+///   merged cluster are decided again;
+/// - a cluster that kept its members keeps its statistics, and a merged
+///   one recomputes them from scratch over its members in member order;
+/// - the link (closest cross pair) of two unions is the minimum over
+///   their parts' stored links, with the first argmin kept in both scan
+///   orientations so that the tie-break matches a fresh scan.
+///
+/// Decisions, statistics and round-0 links fan out over `threads`
+/// workers into their own slots (inline at `threads = 1`), so the
+/// result is the same for every thread count.
 fn merge_impl<P: NeighborProvider + Sync>(
     clustering: &Clustering,
     provider: &P,
     params: &RefineParams,
     threads: usize,
 ) -> Clustering {
-    let mut labels = clustering.labels().to_vec();
+    // Compacted labels: cluster ids ordered by their minimum member.
+    let current = Clustering::from_labels(clustering.labels().to_vec());
+    if params.max_merge_rounds == 0 || current.n_clusters() < 2 {
+        return current;
+    }
+    let mut labels = current.labels().to_vec();
+    let mut clusters = current.clusters();
+    let all: Vec<usize> = (0..clusters.len()).collect();
+    let mut stats = stats_of(&all, &clusters, provider, threads);
+    let mut links = scan_links(&clusters, &stats, provider, threads);
+    let mut changed = vec![true; clusters.len()];
     for _ in 0..params.max_merge_rounds {
-        let current = Clustering::from_labels(labels.clone());
-        // Work on the compacted labels so cluster ids match the dense
-        // indices of `clusters` below.
-        labels = current.labels().to_vec();
-        let clusters = current.clusters();
-        if clusters.len() < 2 {
-            return current;
+        let n_clusters = clusters.len();
+        if n_clusters < 2 {
+            break;
         }
-        let stats = compute_stats(&clusters, provider, threads);
-
-        let mut merged_into: Vec<usize> = (0..clusters.len()).collect();
+        let candidates: Vec<(usize, usize)> = pairs(n_clusters)
+            .filter(|&(i, j)| changed[i] || changed[j])
+            .filter(|&(i, j)| links[tri(n_clusters, i, j)].is_some())
+            .collect();
+        let decisions = parkit::collect_chunks(threads, candidates.len(), 1, |chunk, out| {
+            for &(i, j) in &candidates[chunk] {
+                let link = links[tri(n_clusters, i, j)].as_ref().expect("filtered");
+                let pair = MergeCandidate {
+                    ci: &clusters[i],
+                    cj: &clusters[j],
+                    si: &stats[i],
+                    sj: &stats[j],
+                    id_i: i as u32,
+                    id_j: j as u32,
+                    link,
+                };
+                out.push(should_merge(&pair, &labels, provider, params));
+            }
+        });
+        let mut merged_into: Vec<usize> = (0..n_clusters).collect();
         let mut any = false;
-        if threads <= 1 {
-            for i in 0..clusters.len() {
-                for j in (i + 1)..clusters.len() {
-                    if find(&mut merged_into, i) == find(&mut merged_into, j) {
-                        continue;
-                    }
-                    let pair = MergeCandidate {
-                        ci: &clusters[i],
-                        cj: &clusters[j],
-                        si: &stats[i],
-                        sj: &stats[j],
-                        id_i: i as u32,
-                        id_j: j as u32,
-                    };
-                    if should_merge(&pair, &labels, provider, params) {
-                        union(&mut merged_into, i, j);
-                        any = true;
-                    }
-                }
-            }
-        } else {
-            // A round's merge decision for (i, j) depends only on this
-            // round's labels, members and statistics — never on earlier
-            // unions — so every candidate pair (its cross-cluster link
-            // scan and Condition-1 link-density region queries) can be
-            // decided in parallel into disjoint slots. Applying the
-            // unions serially in pair order then reproduces the serial
-            // round exactly: the serial loop only skips pairs that are
-            // already united, for which a union is a no-op, and any
-            // skipped-but-true pair implies an earlier true pair already
-            // set `any`.
-            let mut pairs: Vec<(u32, u32)> = Vec::new();
-            for i in 0..clusters.len() {
-                for j in (i + 1)..clusters.len() {
-                    pairs.push((i as u32, j as u32));
-                }
-            }
-            let mut decisions = vec![false; pairs.len()];
-            let decisions_ptr = SendDecisionPtr(decisions.as_mut_ptr());
-            let (labels_ref, pairs_ref) = (&labels, &pairs);
-            parkit::for_each_chunk(threads, pairs_ref.len(), 1, |chunk| {
-                let decisions_ptr = &decisions_ptr;
-                for p in chunk {
-                    let (i, j) = (pairs_ref[p].0 as usize, pairs_ref[p].1 as usize);
-                    let pair = MergeCandidate {
-                        ci: &clusters[i],
-                        cj: &clusters[j],
-                        si: &stats[i],
-                        sj: &stats[j],
-                        id_i: i as u32,
-                        id_j: j as u32,
-                    };
-                    // SAFETY: slot `p` is written by exactly one worker
-                    // (the scheduler hands out each pair once).
-                    unsafe {
-                        *decisions_ptr.0.add(p) = should_merge(&pair, labels_ref, provider, params);
-                    }
-                }
-            });
-            for (&(i, j), &merge) in pairs.iter().zip(&decisions) {
-                if merge {
-                    union(&mut merged_into, i as usize, j as usize);
-                    any = true;
-                }
+        for (&(i, j), &merge) in candidates.iter().zip(&decisions) {
+            if merge {
+                union(&mut merged_into, i, j);
+                any = true;
             }
         }
         if !any {
-            return current;
+            break;
         }
+
+        let (parts, new_id) = regroup(&mut merged_into);
         for l in &mut labels {
             if let Label::Cluster(c) = l {
-                *l = Label::Cluster(find(&mut merged_into, *c as usize) as u32);
+                *l = Label::Cluster(new_id[*c as usize] as u32);
             }
         }
+        let mut old_clusters: Vec<Option<Vec<usize>>> = clusters.into_iter().map(Some).collect();
+        let mut old_stats: Vec<Option<ClusterStats>> = stats.into_iter().map(Some).collect();
+        clusters = parts
+            .iter()
+            .map(|ps| {
+                let mut members: Vec<usize> = ps
+                    .iter()
+                    .flat_map(|&p| old_clusters[p].take().expect("each part moves once"))
+                    .collect();
+                if ps.len() > 1 {
+                    members.sort_unstable();
+                }
+                members
+            })
+            .collect();
+        let merged: Vec<usize> = (0..parts.len()).filter(|&c| parts[c].len() > 1).collect();
+        let mut fresh = stats_of(&merged, &clusters, provider, threads).into_iter();
+        stats = parts
+            .iter()
+            .map(|ps| match ps.as_slice() {
+                [p] => old_stats[*p].take().expect("each part moves once"),
+                _ => fresh.next().expect("a fresh stat per merged cluster"),
+            })
+            .collect();
+        links = carry_links(&parts, &links, n_clusters);
+        changed = parts.iter().map(|ps| ps.len() > 1).collect();
     }
     Clustering::from_labels(labels)
 }
 
+/// The clusters of the next round as lists of their old ids (`parts`,
+/// ascending), plus each old id's new id. New ids follow the union-find
+/// roots in ascending order; a root is the smallest old id of its
+/// union, so ids stay ordered by minimum member — exactly the
+/// compaction of the relabeled labels.
+fn regroup(merged_into: &mut [usize]) -> (Vec<Vec<usize>>, Vec<usize>) {
+    let mut new_id = vec![usize::MAX; merged_into.len()];
+    let mut parts: Vec<Vec<usize>> = Vec::new();
+    for old in 0..merged_into.len() {
+        let root = find(merged_into, old);
+        if root == old {
+            new_id[old] = parts.len();
+            parts.push(Vec::new());
+        }
+        let id = new_id[root];
+        new_id[old] = id;
+        parts[id].push(old);
+    }
+    (parts, new_id)
+}
+
+/// All cluster pairs `(i, j)`, `i < j`, in lexicographic order.
+fn pairs(n: usize) -> impl Iterator<Item = (usize, usize)> {
+    (0..n).flat_map(move |i| ((i + 1)..n).map(move |j| (i, j)))
+}
+
+/// Slot of pair `(i, j)`, `i < j < n`, in a row-major strict upper
+/// triangle.
+fn tri(n: usize, i: usize, j: usize) -> usize {
+    i * (2 * n - i - 1) / 2 + (j - i - 1)
+}
+
+/// The closest cross pair of two clusters `lo < hi` (ids ordered by
+/// minimum member).
+#[derive(Debug, Clone, Copy)]
+struct Link {
+    /// The smallest cross dissimilarity.
+    d: f64,
+    /// `(a ∈ lo, b ∈ hi)`: the first pair at `d` in `lo`-major scan
+    /// order, the lexicographically smallest such `(a, b)` — the link
+    /// segments a fresh scan picks.
+    lo_first: (u32, u32),
+    /// `(b ∈ hi, a ∈ lo)`: the first pair at `d` in `hi`-major scan
+    /// order, kept so that a union in which `hi`'s side ends up with
+    /// the smaller id still finds its fresh-scan argmin.
+    hi_first: (u32, u32),
+}
+
+impl Link {
+    /// Scans every cross pair; `lo` and `hi` are ascending member lists.
+    fn scan<P: NeighborProvider + ?Sized>(lo: &[usize], hi: &[usize], provider: &P) -> Self {
+        let mut link = Link {
+            d: f64::INFINITY,
+            lo_first: (lo[0] as u32, hi[0] as u32),
+            hi_first: (hi[0] as u32, lo[0] as u32),
+        };
+        for &a in lo {
+            for &b in hi {
+                let d = provider.pair(a, b);
+                let (a, b) = (a as u32, b as u32);
+                if d < link.d {
+                    link = Link {
+                        d,
+                        lo_first: (a, b),
+                        hi_first: (b, a),
+                    };
+                } else if d == link.d && (b, a) < link.hi_first {
+                    link.hi_first = (b, a);
+                }
+            }
+        }
+        link
+    }
+
+    /// Folds a part link into the link of the union it belongs to:
+    /// `flipped` says the part's `lo` cluster lies on the union's `hi`
+    /// side. The minimum distance is the minimum over parts, and each
+    /// orientation's first argmin is the smallest of the parts' first
+    /// argmins at that distance.
+    fn fold(acc: &mut Option<Link>, part: &Link, flipped: bool) {
+        let (lo_first, hi_first) = if flipped {
+            (part.hi_first, part.lo_first)
+        } else {
+            (part.lo_first, part.hi_first)
+        };
+        match acc {
+            Some(link) if part.d > link.d => {}
+            Some(link) if part.d == link.d => {
+                link.lo_first = link.lo_first.min(lo_first);
+                link.hi_first = link.hi_first.min(hi_first);
+            }
+            _ => {
+                *acc = Some(Link {
+                    d: part.d,
+                    lo_first,
+                    hi_first,
+                })
+            }
+        }
+    }
+}
+
+/// Round-0 links of every pair of multi-member clusters, scanned in
+/// parallel; `None` marks pairs with a singleton, which never merge.
+fn scan_links<P: NeighborProvider + Sync>(
+    clusters: &[Vec<usize>],
+    stats: &[ClusterStats],
+    provider: &P,
+    threads: usize,
+) -> Vec<Option<Link>> {
+    let all: Vec<(usize, usize)> = pairs(clusters.len()).collect();
+    parkit::collect_chunks(threads, all.len(), 1, |chunk, out| {
+        for &(i, j) in &all[chunk] {
+            let both = stats[i].mean_dissim.is_some() && stats[j].mean_dissim.is_some();
+            out.push(both.then(|| Link::scan(&clusters[i], &clusters[j], provider)));
+        }
+    })
+}
+
+/// The links of the next round from the previous round's, without a
+/// kernel evaluation: a pair of unchanged clusters keeps its link, any
+/// other pair folds the links of its parts. Only multi-member clusters
+/// ever merge, so a pair has either every part link or — when one side
+/// is a singleton, which stays one — none.
+fn carry_links(parts: &[Vec<usize>], old: &[Option<Link>], old_n: usize) -> Vec<Option<Link>> {
+    pairs(parts.len())
+        .map(|(p, q)| {
+            let mut acc = None;
+            for &a in &parts[p] {
+                for &b in &parts[q] {
+                    let part = old[tri(old_n, a.min(b), a.max(b))].as_ref()?;
+                    Link::fold(&mut acc, part, a > b);
+                }
+            }
+            acc
+        })
+        .collect()
+}
 /// Splits clusters whose value occurrence counts are extremely polarized
 /// (paper §III-F): with pivot `F = ln |c'|`, a cluster is split when
 /// `PR(counts, F) > split_percent_rank` and `σ(counts) > F`. Members with
@@ -253,45 +402,23 @@ pub fn split_clusters(
     Clustering::from_labels(labels)
 }
 
-/// Computes every cluster's statistics, fanning the clusters out over
-/// the `parkit` scheduler when more than one thread is requested. Each
-/// cluster is folded serially in member order into its own disjoint
-/// slot, so the result is bit-identical to the serial map.
-fn compute_stats<P: NeighborProvider + Sync>(
+/// The statistics of the clusters `ids`, fanned out over the `parkit`
+/// scheduler. Each cluster is folded serially in member order into its
+/// own slot, so the result is bit-identical to the serial map.
+fn stats_of<P: NeighborProvider + Sync>(
+    ids: &[usize],
     clusters: &[Vec<usize>],
     provider: &P,
     threads: usize,
 ) -> Vec<ClusterStats> {
-    if threads <= 1 || clusters.len() < 2 {
-        return clusters
-            .iter()
-            .map(|c| ClusterStats::compute(c, provider))
-            .collect();
-    }
-    let mut slots: Vec<Option<ClusterStats>> = (0..clusters.len()).map(|_| None).collect();
-    let slots_ptr = SendStatsPtr(slots.as_mut_ptr());
-    parkit::for_each_chunk(threads, clusters.len(), 1, |chunk| {
-        let slots_ptr = &slots_ptr;
-        for c in chunk {
-            // SAFETY: slot `c` is written by exactly one worker (the
-            // scheduler hands out each cluster once).
-            unsafe { *slots_ptr.0.add(c) = Some(ClusterStats::compute(&clusters[c], provider)) };
-        }
-    });
-    slots
-        .into_iter()
-        .map(|s| s.expect("every cluster slot filled"))
-        .collect()
+    parkit::collect_chunks(threads, ids.len(), 1, |chunk, out| {
+        out.extend(
+            ids[chunk]
+                .iter()
+                .map(|&c| ClusterStats::compute(&clusters[c], provider)),
+        );
+    })
 }
-
-/// A raw pointer wrapper asserting cross-thread transferability for the
-/// disjoint-slot statistics writes above.
-struct SendStatsPtr(*mut Option<ClusterStats>);
-unsafe impl Sync for SendStatsPtr {}
-
-/// The same pattern for the per-pair merge decisions of a round.
-struct SendDecisionPtr(*mut bool);
-unsafe impl Sync for SendDecisionPtr {}
 
 /// Per-cluster statistics shared by both merge conditions.
 #[derive(Debug)]
@@ -337,7 +464,8 @@ impl ClusterStats {
 }
 
 /// One candidate cluster pair for [`should_merge`]: members, shared
-/// statistics and the dense cluster ids the current labels carry.
+/// statistics, the dense cluster ids the current labels carry
+/// (`id_i < id_j`) and the pair's link.
 struct MergeCandidate<'a> {
     ci: &'a [usize],
     cj: &'a [usize],
@@ -345,6 +473,7 @@ struct MergeCandidate<'a> {
     sj: &'a ClusterStats,
     id_i: u32,
     id_j: u32,
+    link: &'a Link,
 }
 
 fn should_merge<P: NeighborProvider + ?Sized>(
@@ -358,16 +487,8 @@ fn should_merge<P: NeighborProvider + ?Sized>(
         return false;
     };
     // Link segments: the closest pair across the two clusters.
-    let mut link = (ci[0], cj[0], f64::INFINITY);
-    for &a in ci {
-        for &b in cj {
-            let d = provider.pair(a, b);
-            if d < link.2 {
-                link = (a, b, d);
-            }
-        }
-    }
-    let (link_i, link_j, d_link) = link;
+    let ((link_i, link_j), d_link) = (pair.link.lo_first, pair.link.d);
+    let (link_i, link_j) = (link_i as usize, link_j as usize);
 
     // Condition 1: very close by, similar local ε-density at the links.
     if d_link < mean_i.max(mean_j) {
@@ -440,6 +561,255 @@ fn union(parent: &mut [usize], a: usize, b: usize) {
 mod tests {
     use super::*;
     use crate::dbscan::dbscan;
+    use dissim::{dissimilarity, DissimParams};
+    use proptest::prelude::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+
+    /// The merge loop recomputed from scratch every round, serially:
+    /// compact the labels, compute every cluster's statistics, scan
+    /// every cross pair for its first-argmin link, union in pair order.
+    /// Returns the clustering and the number of rounds that merged.
+    fn oracle_merge<P: NeighborProvider + ?Sized>(
+        clustering: &Clustering,
+        provider: &P,
+        params: &RefineParams,
+    ) -> (Clustering, usize) {
+        let mut labels = clustering.labels().to_vec();
+        let mut merging_rounds = 0;
+        for _ in 0..params.max_merge_rounds {
+            let current = Clustering::from_labels(labels.clone());
+            labels = current.labels().to_vec();
+            let clusters = current.clusters();
+            if clusters.len() < 2 {
+                return (current, merging_rounds);
+            }
+            let stats: Vec<ClusterStats> = clusters
+                .iter()
+                .map(|c| ClusterStats::compute(c, provider))
+                .collect();
+            let mut merged_into: Vec<usize> = (0..clusters.len()).collect();
+            let mut any = false;
+            for i in 0..clusters.len() {
+                for j in (i + 1)..clusters.len() {
+                    if find(&mut merged_into, i) == find(&mut merged_into, j) {
+                        continue;
+                    }
+                    let (ci, cj) = (&clusters[i], &clusters[j]);
+                    let mut best = (ci[0], cj[0], f64::INFINITY);
+                    for &a in ci {
+                        for &b in cj {
+                            let d = provider.pair(a, b);
+                            if d < best.2 {
+                                best = (a, b, d);
+                            }
+                        }
+                    }
+                    let (a, b) = (best.0 as u32, best.1 as u32);
+                    let link = Link {
+                        d: best.2,
+                        lo_first: (a, b),
+                        hi_first: (b, a),
+                    };
+                    let pair = MergeCandidate {
+                        ci,
+                        cj,
+                        si: &stats[i],
+                        sj: &stats[j],
+                        id_i: i as u32,
+                        id_j: j as u32,
+                        link: &link,
+                    };
+                    if should_merge(&pair, &labels, provider, params) {
+                        union(&mut merged_into, i, j);
+                        any = true;
+                    }
+                }
+            }
+            if !any {
+                return (current, merging_rounds);
+            }
+            merging_rounds += 1;
+            for l in &mut labels {
+                if let Label::Cluster(c) = l {
+                    *l = Label::Cluster(find(&mut merged_into, *c as usize) as u32);
+                }
+            }
+        }
+        (Clustering::from_labels(labels), merging_rounds)
+    }
+
+    /// Points on a line at multiples of 1/64 in random index order, so
+    /// cross-pair distances tie exactly and often; the initial clusters
+    /// are position bands under shuffled ids, with some noise.
+    fn line_case(seed: u64) -> (CondensedMatrix, Clustering) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let n = rng.gen_range(2..70);
+        let pts: Vec<f64> = (0..n)
+            .map(|_| f64::from(rng.gen_range(0..48u32)) / 64.0)
+            .collect();
+        let band = rng.gen_range(2..9u32);
+        let shuffle = rng.gen_range(0..97u32);
+        let labels = pts
+            .iter()
+            .map(|&p| {
+                if rng.gen_bool(0.1) {
+                    Label::Noise
+                } else {
+                    Label::Cluster((((p * 64.0) as u32 / band) * 31 % 97) ^ shuffle)
+                }
+            })
+            .collect();
+        let m = CondensedMatrix::build(n, |i, j| (pts[i] - pts[j]).abs());
+        (m, Clustering::from_labels(labels))
+    }
+
+    /// Mixed-length byte segments over a small alphabet (Canberra ties,
+    /// length penalties), clustered by DBSCAN.
+    fn bytes_case(seed: u64) -> (CondensedMatrix, Clustering) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let n = rng.gen_range(2..50);
+        let alphabet = [0u8, 1, 2, 3, 128, 255];
+        let values: Vec<Vec<u8>> = (0..n)
+            .map(|_| {
+                let len = rng.gen_range(1..6);
+                (0..len)
+                    .map(|_| alphabet[rng.gen_range(0..alphabet.len())])
+                    .collect()
+            })
+            .collect();
+        let params = DissimParams::default();
+        let m = CondensedMatrix::build(n, |i, j| dissimilarity(&values[i], &values[j], &params));
+        let eps = rng.gen_range(0.02..0.5);
+        let min_samples = rng.gen_range(2..4);
+        let c = dbscan(&m, eps, min_samples);
+        (m, c)
+    }
+
+    fn params_for(pick: u8) -> RefineParams {
+        let p = usize::from(pick);
+        RefineParams {
+            eps_rho_threshold: [0.0, 0.01, 0.05, 1.0][p % 4],
+            neighbor_density_threshold: [0.0, 0.002, 0.02, 1.0][(p / 4) % 4],
+            max_merge_rounds: [1, 2, 3, 16][(p / 16) % 4],
+            ..RefineParams::default()
+        }
+    }
+
+    fn assert_matches_oracle(
+        m: &CondensedMatrix,
+        c: &Clustering,
+        params: &RefineParams,
+    ) -> Result<(), TestCaseError> {
+        let provider = MatrixProvider::new(m);
+        let (want, _) = oracle_merge(c, &provider, params);
+        for threads in [1, 2, 4] {
+            let got = merge_clusters_with_provider(c, &provider, params, threads);
+            prop_assert_eq!(&got, &want, "threads = {}", threads);
+        }
+        Ok(())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+
+        #[test]
+        fn carried_links_equal_fresh_scans(seed in any::<u64>(), unions in 1usize..12) {
+            // Unite random multi-member clusters, carry the links
+            // forward, and compare every field — distance and both
+            // orientations' first argmin — with a scan of the unions.
+            let (m, c) = line_case(seed);
+            let provider = MatrixProvider::new(&m);
+            let clusters = c.clusters();
+            let all: Vec<usize> = (0..clusters.len()).collect();
+            let stats = stats_of(&all, &clusters, &provider, 1);
+            let links = scan_links(&clusters, &stats, &provider, 1);
+            let multi: Vec<usize> = all
+                .iter()
+                .copied()
+                .filter(|&i| clusters[i].len() > 1)
+                .collect();
+            prop_assume!(multi.len() >= 2);
+            let mut rng = StdRng::seed_from_u64(seed ^ 0x5eed);
+            let mut merged_into = all.clone();
+            for _ in 0..unions {
+                let a = multi[rng.gen_range(0..multi.len())];
+                let b = multi[rng.gen_range(0..multi.len())];
+                union(&mut merged_into, a, b);
+            }
+            let (parts, _) = regroup(&mut merged_into);
+            let merged: Vec<Vec<usize>> = parts
+                .iter()
+                .map(|ps| {
+                    let mut members: Vec<usize> =
+                        ps.iter().flat_map(|&p| clusters[p].iter().copied()).collect();
+                    members.sort_unstable();
+                    members
+                })
+                .collect();
+            let carried = carry_links(&parts, &links, clusters.len());
+            for (slot, (p, q)) in pairs(parts.len()).enumerate() {
+                let both = merged[p].len() > 1 && merged[q].len() > 1;
+                match &carried[slot] {
+                    None => prop_assert!(!both, "pair ({}, {}) lost its link", p, q),
+                    Some(link) => {
+                        prop_assert!(both, "pair ({}, {}) has a singleton", p, q);
+                        let fresh = Link::scan(&merged[p], &merged[q], &provider);
+                        prop_assert_eq!(link.d.to_bits(), fresh.d.to_bits());
+                        prop_assert_eq!(link.lo_first, fresh.lo_first, "pair ({}, {})", p, q);
+                        prop_assert_eq!(link.hi_first, fresh.hi_first, "pair ({}, {})", p, q);
+                    }
+                }
+            }
+        }
+
+        #[test]
+        fn carried_merge_matches_oracle_on_tied_lines(seed in any::<u64>(), pick in any::<u8>()) {
+            let (m, c) = line_case(seed);
+            assert_matches_oracle(&m, &c, &params_for(pick))?;
+        }
+
+        #[test]
+        fn carried_merge_matches_oracle_on_mixed_bytes(seed in any::<u64>(), pick in any::<u8>()) {
+            let (m, c) = bytes_case(seed);
+            assert_matches_oracle(&m, &c, &params_for(pick))?;
+        }
+    }
+
+    #[test]
+    fn oracle_corpora_reach_multi_round_merges_and_the_round_cap() {
+        // The exactness properties above only mean something if their
+        // corpora merge over several rounds and sometimes stop at
+        // `max_merge_rounds` with merges still pending.
+        let loose = RefineParams {
+            eps_rho_threshold: 0.05,
+            neighbor_density_threshold: 0.02,
+            ..RefineParams::default()
+        };
+        let capped = RefineParams {
+            max_merge_rounds: 1,
+            ..loose
+        };
+        let (mut deep, mut cut) = (0, 0);
+        for seed in 0..200 {
+            for (m, c) in [line_case(seed), bytes_case(seed)] {
+                let provider = MatrixProvider::new(&m);
+                let (_, rounds) = oracle_merge(&c, &provider, &loose);
+                deep += usize::from(rounds >= 2);
+                let (once, _) = oracle_merge(&c, &provider, &capped);
+                let (full, _) = oracle_merge(&c, &provider, &loose);
+                cut += usize::from(once != full);
+            }
+        }
+        assert!(
+            deep >= 10,
+            "only {deep} cases merged over two or more rounds"
+        );
+        assert!(
+            cut >= 10,
+            "only {cut} cases stopped at the round cap with merges pending"
+        );
+    }
 
     fn line_matrix(points: &[f64]) -> CondensedMatrix {
         CondensedMatrix::build(points.len(), |i, j| (points[i] - points[j]).abs())

@@ -1,8 +1,10 @@
 //! Property-based invariants for DBSCAN and refinement.
 
-use cluster::dbscan::{dbscan, Clustering, Label};
+use cluster::dbscan::{
+    dbscan, dbscan_weighted, dbscan_weighted_parallel_with_provider, Clustering, Label,
+};
 use cluster::refine::{merge_clusters, split_clusters, RefineParams};
-use dissim::CondensedMatrix;
+use dissim::{CondensedMatrix, IndexedProvider, MatrixProvider, NeighborIndex};
 use proptest::prelude::*;
 
 fn points() -> impl Strategy<Value = Vec<f64>> {
@@ -51,6 +53,32 @@ proptest! {
                     "core point {} labelled noise", i
                 );
             }
+        }
+    }
+
+    #[test]
+    fn single_pass_dbscan_matches_matrix_scan(
+        grid in prop::collection::vec((0u32..40, 1usize..5), 2..60),
+        eps_steps in 0u32..6,
+        min_samples in 1usize..9,
+    ) {
+        // Points on a 1/8 grid (exact ties at the ε boundary) with
+        // occurrence weights; ε sits on a grid step half the time.
+        let pts: Vec<f64> = grid.iter().map(|&(x, _)| f64::from(x) / 8.0).collect();
+        let weights: Vec<usize> = grid.iter().map(|&(_, w)| w).collect();
+        let eps = f64::from(eps_steps) / 8.0 + if eps_steps % 2 == 0 { 0.0 } else { 0.01 };
+        let m = matrix_of(&pts);
+        let index = NeighborIndex::build(&m);
+        let want = dbscan_weighted(&m, eps, min_samples, &weights);
+        for threads in [1, 2, 4] {
+            let matrix = dbscan_weighted_parallel_with_provider(
+                &MatrixProvider::new(&m), eps, min_samples, &weights, threads,
+            );
+            prop_assert_eq!(&matrix, &want, "matrix provider, threads {}", threads);
+            let indexed = dbscan_weighted_parallel_with_provider(
+                &IndexedProvider::new(&m, &index), eps, min_samples, &weights, threads,
+            );
+            prop_assert_eq!(&indexed, &want, "indexed provider, threads {}", threads);
         }
     }
 

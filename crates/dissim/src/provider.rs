@@ -36,6 +36,8 @@
 
 use crate::matrix::CondensedMatrix;
 use crate::neighbor::NeighborIndex;
+use crate::tiled::KnnTable;
+use std::ops::Range;
 
 /// Minimum queries per stolen work chunk in the batch fan-out: small
 /// enough that modest batches still spread across workers, large enough
@@ -177,6 +179,72 @@ pub trait NeighborProvider {
     {
         fan_out_scalars(threads, self.len(), |i| self.knn(i, k))
     }
+
+    /// Each item's ascending 1…`k_max` nearest-neighbor dissimilarities
+    /// as one [`KnnTable`]: the whole k sweep of Algorithm 1 from a
+    /// single pass. Entry `(i, k)` equals [`knn`](Self::knn)`(i, k)`
+    /// bit for bit for every `k <= len() − 1`; entries past an item's
+    /// pair count are `f64::INFINITY`. Rows are computed on `threads`
+    /// workers into their own slots, so the table does not depend on
+    /// the thread count.
+    ///
+    /// The default asks [`knn`](Self::knn) once per `k`; every backend
+    /// of this crate overrides it with one query per item.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `k_max` is 0.
+    fn knn_table(&self, k_max: usize, threads: usize) -> KnnTable
+    where
+        Self: Sync,
+    {
+        fan_out_knn_rows(threads, self.len(), k_max, |items, k, out| {
+            for i in items {
+                out.extend((1..=k).map(|kk| self.knn(i, kk)));
+            }
+        })
+    }
+}
+
+/// Builds a [`KnnTable`] over `n` items on `threads` workers.
+/// `rows(items, k, out)` must append, for every item of the chunk in
+/// order, its `k` smallest dissimilarities ascending, where
+/// `k = min(k_max, n − 1)` is the number of neighbors each item has;
+/// rows shorter than `k_max` (only when `n ≤ k_max`) are padded with
+/// infinities here.
+pub(crate) fn fan_out_knn_rows<F>(threads: usize, n: usize, k_max: usize, rows: F) -> KnnTable
+where
+    F: Fn(Range<usize>, usize, &mut Vec<f64>) + Sync,
+{
+    assert!(k_max >= 1, "k_max must be at least 1");
+    let k = k_max.min(n.saturating_sub(1));
+    let mut flat = parkit::collect_chunks(threads, n, BATCH_MIN_CHUNK, |items, out| {
+        out.reserve(items.len() * k);
+        rows(items, k, out);
+    });
+    if k < k_max {
+        flat = (0..n)
+            .flat_map(|i| {
+                let row = &flat[i * k..(i + 1) * k];
+                row.iter()
+                    .copied()
+                    .chain(std::iter::repeat_n(f64::INFINITY, k_max - k))
+            })
+            .collect();
+    }
+    KnnTable::from_rows(n, k_max, flat)
+}
+
+/// Appends the `k` smallest values of `row` in ascending order (the
+/// first `k` order statistics), reordering `row` in place.
+pub(crate) fn push_smallest(row: &mut [f64], k: usize, out: &mut Vec<f64>) {
+    if k == 0 {
+        return;
+    }
+    let cmp = |a: &f64, b: &f64| a.partial_cmp(b).expect("dissimilarities are not NaN");
+    row.select_nth_unstable_by(k - 1, cmp);
+    row[..k].sort_unstable_by(cmp);
+    out.extend_from_slice(&row[..k]);
 }
 
 /// The row-scan provider over a bare [`CondensedMatrix`]: the oracle
@@ -233,6 +301,20 @@ impl NeighborProvider for MatrixProvider<'_> {
     fn pair(&self, i: usize, j: usize) -> f64 {
         self.matrix.get(i, j)
     }
+
+    /// One row scan per item, its `k_max` smallest entries sorted.
+    fn knn_table(&self, k_max: usize, threads: usize) -> KnnTable
+    where
+        Self: Sync,
+    {
+        fan_out_knn_rows(threads, self.len(), k_max, |items, k, out| {
+            let mut row = Vec::new();
+            for i in items {
+                self.matrix.row_into(i, &mut row);
+                push_smallest(&mut row, k, out);
+            }
+        })
+    }
 }
 
 /// A provider over a bare presorted [`NeighborIndex`].
@@ -278,6 +360,26 @@ impl NeighborProvider for IndexProvider<'_> {
             .map(|&(d, _)| d)
             .expect("j is a neighbor of i in a complete index")
     }
+
+    /// A prefix of each presorted neighbor list.
+    fn knn_table(&self, k_max: usize, threads: usize) -> KnnTable
+    where
+        Self: Sync,
+    {
+        index_knn_table(self.index, k_max, threads)
+    }
+}
+
+/// The [`NeighborProvider::knn_table`] of the index-backed providers:
+/// each row is a prefix of the item's ascending neighbor list, the
+/// same values [`NeighborIndex::kth_dissimilarity`] reads one at a
+/// time.
+fn index_knn_table(index: &NeighborIndex, k_max: usize, threads: usize) -> KnnTable {
+    fan_out_knn_rows(threads, index.len(), k_max, |items, k, out| {
+        for i in items {
+            out.extend(index.neighbors(i)[..k].iter().map(|&(d, _)| d));
+        }
+    })
 }
 
 /// The matrix + index provider: sorted `(dissimilarity, index)` region
@@ -321,6 +423,14 @@ impl NeighborProvider for IndexedProvider<'_> {
 
     fn pair(&self, i: usize, j: usize) -> f64 {
         self.matrix.get(i, j)
+    }
+
+    /// A prefix of each presorted neighbor list.
+    fn knn_table(&self, k_max: usize, threads: usize) -> KnnTable
+    where
+        Self: Sync,
+    {
+        index_knn_table(self.index, k_max, threads)
     }
 }
 

@@ -62,8 +62,9 @@ use std::sync::Arc;
 
 use crate::canberra::DissimParams;
 use crate::kernel::{dissimilarity_kernel, dissimilarity_swar, CanberraLut, QueryDist};
-use crate::provider::{NeighborProvider, SendSlotPtr, BATCH_MIN_CHUNK};
-use crate::vptree::{Cand, Fnv64, VpForest, NO_NODE, PRUNE_SLACK};
+use crate::provider::{fan_out_knn_rows, NeighborProvider, SendSlotPtr, BATCH_MIN_CHUNK};
+use crate::tiled::KnnTable;
+use crate::vptree::{push_heap_ascending, Cand, Fnv64, VpForest, NO_NODE, PRUNE_SLACK};
 
 /// Pivots per stratum for the LAESA screen: enough to give several
 /// independent chances at a pruning bound, few enough that the
@@ -811,11 +812,19 @@ impl<'a> StratifiedProvider<'a> {
     }
 
     /// One full k-NN query with caller-provided scratch; `k` must
-    /// already be clamped to `[1, n − 1]` with `n >= 2`. Strata are
+    /// already be clamped to `[1, n − 1]` with `n >= 2`.
+    fn knn_query(&self, i: usize, k: usize, scratch: &mut Scratch<'a>) -> f64 {
+        self.knn_search(i, k, scratch);
+        scratch.heap.peek().expect("k >= 1 and n >= 2").0
+    }
+
+    /// Fills `scratch.heap` with item `i`'s `k` nearest-neighbor
+    /// dissimilarities (as a multiset: pruning only ever skips
+    /// candidates farther than the final k-th best). Strata are
     /// visited in ascending length-bound order so the k-th-best
     /// distance tightens early and the tail of the order can be cut
     /// off wholesale.
-    fn knn_query(&self, i: usize, k: usize, scratch: &mut Scratch<'a>) -> f64 {
+    fn knn_search(&self, i: usize, k: usize, scratch: &mut Scratch<'a>) {
         let q = self.values[i];
         scratch.qd.set_query(q);
         scratch.heap.clear();
@@ -855,7 +864,6 @@ impl<'a> StratifiedProvider<'a> {
         }
         scratch.order = order;
         self.flush(&local);
-        scratch.heap.peek().expect("k >= 1 and n >= 2").0
     }
 }
 
@@ -963,6 +971,23 @@ impl NeighborProvider for StratifiedProvider<'_> {
     {
         let queries: Vec<usize> = (0..self.len()).collect();
         self.knn_batch(&queries, k, threads)
+    }
+
+    /// Native override: one pruned k_max search per item, its heap
+    /// read out ascending.
+    fn knn_table(&self, k_max: usize, threads: usize) -> KnnTable
+    where
+        Self: Sync,
+    {
+        fan_out_knn_rows(threads, self.len(), k_max, |items, k, out| {
+            let mut scratch = self.scratch();
+            for i in items {
+                if k > 0 {
+                    self.knn_search(i, k, &mut scratch);
+                    push_heap_ascending(&mut scratch.heap, out);
+                }
+            }
+        })
     }
 }
 

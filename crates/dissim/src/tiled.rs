@@ -470,6 +470,23 @@ pub struct KnnTable {
 }
 
 impl KnnTable {
+    /// A table over `n` items from their flattened ascending rows:
+    /// `rows[i * k_max + k - 1]` is item `i`'s `k`-th nearest-neighbor
+    /// dissimilarity, `f64::INFINITY` past its pair count.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `k_max` is 0 or `rows` is not `n × k_max` long.
+    pub fn from_rows(n: usize, k_max: usize, rows: Vec<f64>) -> Self {
+        assert!(k_max >= 1, "k_max must be at least 1");
+        assert_eq!(rows.len(), n * k_max, "need k_max values per item");
+        Self {
+            n,
+            k_max,
+            lists: rows,
+        }
+    }
+
     /// Number of items covered.
     pub fn len(&self) -> usize {
         self.n

@@ -47,7 +47,10 @@ use std::ops::Range;
 
 use crate::canberra::DissimParams;
 use crate::kernel::{dissimilarity_kernel, dissimilarity_swar, CanberraLut, QueryDist};
-use crate::provider::{NeighborProvider, SendSlotPtr, BATCH_MIN_CHUNK};
+use crate::provider::{
+    fan_out_knn_rows, push_smallest, NeighborProvider, SendSlotPtr, BATCH_MIN_CHUNK,
+};
+use crate::tiled::KnnTable;
 
 /// Sentinel child index: no subtree.
 pub const NO_NODE: u32 = u32::MAX;
@@ -410,6 +413,13 @@ impl Ord for Cand {
     }
 }
 
+/// Drains a bounded k-NN heap into `out` in ascending order.
+pub(crate) fn push_heap_ascending(heap: &mut BinaryHeap<Cand>, out: &mut Vec<f64>) {
+    let start = out.len();
+    out.extend(heap.drain().map(|c| c.0));
+    out[start..].sort_unstable_by(|a, b| a.partial_cmp(b).expect("dissimilarities are not NaN"));
+}
+
 /// The [`NeighborProvider`] over a [`VpForest`]: pruned metric search
 /// when [`metric_eligible`] holds, exact linear-scan fallback otherwise.
 /// Either way, O(u) memory per query and bit-identical answers to the
@@ -602,19 +612,46 @@ impl<'a> VpProvider<'a> {
             }
             heap.peek().expect("k >= 1 and n >= 2").0
         } else {
-            let qd = QueryDist::new(self.values[i], &self.params, self.swar);
-            let mut dists: Vec<f64> = self
-                .values
-                .iter()
-                .enumerate()
-                .filter(|&(j, _)| j != i)
-                .map(|(_, v)| qd.dist(v))
-                .collect();
+            let mut dists = self.linear_row(i);
             let (_, kth, _) = dists.select_nth_unstable_by(k - 1, |a, b| {
                 a.partial_cmp(b).expect("dissimilarities are not NaN")
             });
             *kth
         }
+    }
+
+    /// Appends item `i`'s `k` nearest-neighbor dissimilarities in
+    /// ascending order — the same search as [`Self::knn_query`], read
+    /// out whole instead of at its k-th entry.
+    fn knn_row(
+        &self,
+        i: usize,
+        k: usize,
+        heap: &mut BinaryHeap<Cand>,
+        stack: &mut Vec<u32>,
+        out: &mut Vec<f64>,
+    ) {
+        if self.prunable {
+            heap.clear();
+            for tree in self.forest.trees() {
+                self.knn_tree(tree, i, k, heap, stack);
+            }
+            push_heap_ascending(heap, out);
+        } else {
+            push_smallest(&mut self.linear_row(i), k, out);
+        }
+    }
+
+    /// The exact linear fallback's candidate row: item `i`'s
+    /// dissimilarity to every other item, in index order.
+    fn linear_row(&self, i: usize) -> Vec<f64> {
+        let qd = QueryDist::new(self.values[i], &self.params, self.swar);
+        self.values
+            .iter()
+            .enumerate()
+            .filter(|&(j, _)| j != i)
+            .map(|(_, v)| qd.dist(v))
+            .collect()
     }
 }
 
@@ -723,6 +760,23 @@ impl NeighborProvider for VpProvider<'_> {
     {
         let queries: Vec<usize> = (0..self.len()).collect();
         self.knn_batch(&queries, k, threads)
+    }
+
+    /// Native override: one k_max search per item with per-worker
+    /// heap and stack, the heap read out ascending.
+    fn knn_table(&self, k_max: usize, threads: usize) -> KnnTable
+    where
+        Self: Sync,
+    {
+        fan_out_knn_rows(threads, self.len(), k_max, |items, k, out| {
+            let mut heap = BinaryHeap::with_capacity(k + 1);
+            let mut stack = Vec::new();
+            for i in items {
+                if k > 0 {
+                    self.knn_row(i, k, &mut heap, &mut stack, out);
+                }
+            }
+        })
     }
 }
 

@@ -2,10 +2,64 @@
 
 use dissim::kernel::{canberra_distance_lut, dissimilarity_kernel, dissimilarity_lut};
 use dissim::{
-    canberra_distance, dissimilarity, CanberraLut, CondensedMatrix, DissimParams, IndexedProvider,
-    NeighborIndex, NeighborProvider, VpForest, VpProvider,
+    canberra_distance, dissimilarity, CanberraLut, CondensedMatrix, DissimParams, IndexProvider,
+    IndexedProvider, MatrixProvider, NeighborIndex, NeighborProvider, StrataIndex,
+    StratifiedProvider, VpForest, VpProvider,
 };
 use proptest::prelude::*;
+
+/// Asserts one backend's one-pass k_max table holds, entry for entry,
+/// the per-k [`NeighborProvider::knn`] answers (and infinity past the
+/// item's pair count).
+fn assert_knn_table_matches_knn<P: NeighborProvider + Sync>(
+    provider: &P,
+    k_max: usize,
+    threads: usize,
+    backend: &str,
+) -> Result<(), TestCaseError> {
+    let n = provider.len();
+    let table = provider.knn_table(k_max, threads);
+    prop_assert_eq!(table.len(), n);
+    prop_assert_eq!(table.k_max(), k_max);
+    for i in 0..n {
+        for k in 1..=k_max {
+            let want = if k < n {
+                provider.knn(i, k)
+            } else {
+                f64::INFINITY
+            };
+            prop_assert_eq!(
+                table.kth(i, k).to_bits(),
+                want.to_bits(),
+                "{} item {} k {} (k_max {}, threads {})",
+                backend,
+                i,
+                k,
+                k_max,
+                threads
+            );
+        }
+    }
+    Ok(())
+}
+
+/// Segments over a four-letter alphabet with every third one repeated:
+/// exact duplicates (zero distances) and many tied distances.
+fn tied_corpus(seeds: &[(u8, u8)], uniform: bool) -> Vec<Vec<u8>> {
+    let alphabet = [0u8, 1, 128, 255];
+    let mut segs = Vec::new();
+    for (i, &(len, pick)) in seeds.iter().enumerate() {
+        let len = if uniform { 4 } else { 1 + usize::from(len % 6) };
+        let seg: Vec<u8> = (0..len)
+            .map(|b| alphabet[(usize::from(pick) >> (b % 4 * 2)) % 4])
+            .collect();
+        if i % 3 == 0 {
+            segs.push(seg.clone());
+        }
+        segs.push(seg);
+    }
+    segs
+}
 
 /// Asserts one backend's batched answers are bit-identical, in query
 /// order, to the scalar calls the defaults are specified against.
@@ -260,6 +314,41 @@ proptest! {
             eps,
             k,
             threads,
+        )?;
+    }
+
+    #[test]
+    fn knn_table_rows_match_per_k_queries_on_every_backend(
+        seeds in prop::collection::vec((any::<u8>(), any::<u8>()), 1..30),
+        uniform in any::<bool>(),
+        k_max in 1usize..7,
+        four_threads in any::<bool>(),
+    ) {
+        let threads = if four_threads { 4 } else { 1 };
+        let segs = tied_corpus(&seeds, uniform);
+        let p = DissimParams::default();
+        let refs: Vec<&[u8]> = segs.iter().map(|s| &s[..]).collect();
+        let m = CondensedMatrix::build_segments(&refs, &p, 1);
+        let index = NeighborIndex::build(&m);
+        // Small chunks so multi-tree forests and strata occur at these
+        // sizes; uniform lengths make the vp forest prune.
+        let forest = VpForest::build(&refs, &p, 5);
+        let strata = StrataIndex::build(&refs, &p, 5);
+        assert_knn_table_matches_knn(&MatrixProvider::new(&m), k_max, threads, "matrix")?;
+        assert_knn_table_matches_knn(&IndexProvider::new(&index), k_max, threads, "index")?;
+        assert_knn_table_matches_knn(&IndexedProvider::new(&m, &index), k_max, threads, "indexed")?;
+        assert_knn_table_matches_knn(&VpProvider::new(&refs, &p, &forest), k_max, threads, "vptree")?;
+        assert_knn_table_matches_knn(
+            &VpProvider::new(&refs, &p, &forest).with_swar(true),
+            k_max,
+            threads,
+            "vptree+swar",
+        )?;
+        assert_knn_table_matches_knn(
+            &StratifiedProvider::new(&refs, &p, &strata),
+            k_max,
+            threads,
+            "stratified",
         )?;
     }
 

@@ -149,21 +149,31 @@ impl Contingency {
 
     /// Mutual information between the cluster and class partitions, in
     /// nats. 0.0 for degenerate inputs.
+    ///
+    /// The float sum runs over the nonzero cells in sorted
+    /// `(cluster total, class total, count)` order, which depends on
+    /// neither the hash order of the table nor the order of clusters,
+    /// members or class first appearances — so the result is
+    /// bit-identical across processes and input permutations.
     pub fn mutual_information(&self) -> f64 {
         if self.n == 0 {
             return 0.0;
         }
-        let n = self.n as f64;
-        let mut mi = 0.0;
+        let mut cells: Vec<(u64, u64, u64)> = Vec::new();
         for (cluster, row) in self.counts.iter().enumerate() {
-            let a = self.cluster_totals[cluster] as f64;
+            let a = self.cluster_totals[cluster];
             for (&class, &c) in row {
                 if c > 0 {
-                    let b = self.class_totals[class] as f64;
-                    let c = c as f64;
-                    mi += c / n * (n * c / (a * b)).ln();
+                    cells.push((a, self.class_totals[class], c));
                 }
             }
+        }
+        cells.sort_unstable();
+        let n = self.n as f64;
+        let mut mi = 0.0;
+        for (a, b, c) in cells {
+            let (a, b, c) = (a as f64, b as f64, c as f64);
+            mi += c / n * (n * c / (a * b)).ln();
         }
         mi.max(0.0)
     }
@@ -342,6 +352,38 @@ mod tests {
             clusters[cu].push(v[i]);
         }
         Contingency::from_clusters(&clusters)
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn mutual_information_is_bit_identical_under_permutation(
+            labels in proptest::collection::vec(0u8..6, 1..80),
+            clusters in 1usize..9,
+            shift in 0usize..80,
+        ) {
+            // Item i goes to cluster i % clusters with class labels[i].
+            let mut grouped: Vec<Vec<u8>> = vec![Vec::new(); clusters];
+            for (i, &l) in labels.iter().enumerate() {
+                grouped[i % clusters].push(l);
+            }
+            let want = Contingency::from_clusters(&grouped).mutual_information();
+            // Reorder clusters and members and rename every class: the
+            // table's cells are the same, so the sum must be too.
+            let mut permuted: Vec<Vec<u8>> = grouped
+                .iter()
+                .map(|members| {
+                    let mut m: Vec<u8> = members.iter().map(|&l| 200 - l).collect();
+                    let len = m.len().max(1);
+                    m.rotate_left(shift % len);
+                    m.reverse();
+                    m
+                })
+                .collect();
+            permuted.rotate_left(shift % clusters);
+            permuted.reverse();
+            let got = Contingency::from_clusters(&permuted).mutual_information();
+            proptest::prop_assert_eq!(got.to_bits(), want.to_bits());
+        }
     }
 
     #[test]

@@ -73,8 +73,8 @@ use crate::pipeline::{
 };
 use crate::segments::SegmentStore;
 use cluster::autoconf::{
-    auto_configure, auto_configure_parallel, auto_configure_with_knn, required_k_max,
-    AutoConfError, AutoConfig, SelectedParams,
+    auto_configure, auto_configure_with_knn, required_k_max, AutoConfError, AutoConfig,
+    SelectedParams,
 };
 use cluster::dbscan::{dbscan, dbscan_weighted_parallel_with_provider, Clustering};
 use cluster::refine::{merge_clusters_parallel, merge_clusters_with_provider, split_clusters};
@@ -99,9 +99,11 @@ pub struct AnalysisSession<'t> {
     segmentation: Option<TraceSegmentation>,
     store: Option<SegmentStore>,
     dissim: Option<DissimArtifact>,
-    // Per-tile k-NN partials merged at the build barrier; present only
-    // when the tiled build ran (`effective_tile_rows` is `Some`). Feeds
-    // the autoconf ECDFs without re-scanning the matrix.
+    // Each item's 1..k_max nearest-neighbor dissimilarities, feeding
+    // every autoconf ECDF (the §III-E trimmed re-selection too): the
+    // per-tile partials merged at the build barrier when the tiled build
+    // ran, otherwise one k_max pass of the neighbor backend made by the
+    // selection stage (or lazily, when the selection was a store hit).
     knn: Option<KnnTable>,
     // The vantage-point tree forest; present only when the vptree
     // backend is resolved. Replaces the matrix + index entirely: no
@@ -432,10 +434,12 @@ impl<'t> AnalysisSession<'t> {
         self.neighbor_counters.snapshot()
     }
 
-    /// The merged per-tile k-NN table, if the tiled dissimilarity build
-    /// ran (the session's [`FieldTypeClusterer::effective_tile_rows`]
-    /// is `Some`). Serves the autoconf stage's k-dist ECDFs; its values
-    /// are bit-identical to the matrix scan.
+    /// The k-NN table the autoconf stage's k-dist ECDFs read: the
+    /// merged per-tile partials when the tiled dissimilarity build ran
+    /// (the session's [`FieldTypeClusterer::effective_tile_rows`] is
+    /// `Some`), otherwise one k_max pass of the session's neighbor
+    /// backend, made when the selection is computed (not when it is a
+    /// store hit). Its values are bit-identical to the matrix scan.
     pub fn knn_table(&self) -> Option<&KnnTable> {
         self.knn.as_ref()
     }
@@ -1046,11 +1050,14 @@ impl<'t> AnalysisSession<'t> {
         let min_samples = ((total_instances as f64).ln().round() as usize).max(2);
         let n = weights.len();
         // Tiled sessions select ε from the merged per-tile k-NN table;
-        // the vptree backend answers the k-dist queries straight from
-        // its forest; otherwise the neighbor index serves them. All are
+        // every other backend answers all k-dist queries of the k sweep
+        // with one k_max pass (the vptree and stratified backends from
+        // their pruned searches, otherwise a prefix of the neighbor
+        // index), kept for the §III-E trimmed re-selection. All are
         // bit-identical to the matrix scan. The fallback mean likewise
         // comes from the matrix or (vptree) a pairwise kernel pass —
         // pinned bit-identical.
+        let threads = self.config.threads;
         let (selection, fallback_mean) = match self.session_backend() {
             NeighborBackend::Vptree => {
                 let store = self.store.as_ref().expect("ensured");
@@ -1058,8 +1065,8 @@ impl<'t> AnalysisSession<'t> {
                 let forest = self.vpforest.as_ref().expect("ensured");
                 let provider = VpProvider::new(&values, &self.config.dissim, forest)
                     .with_swar(self.config.swar);
-                let selection =
-                    auto_configure_parallel(&provider, &self.config.autoconf, self.config.threads);
+                let table = ensure_knn_table(&mut self.knn, &provider, threads);
+                let selection = auto_configure_with_knn(table, &self.config.autoconf);
                 let mean = selection
                     .is_err()
                     .then(|| pairwise_mean(&values, &self.config.dissim))
@@ -1073,8 +1080,8 @@ impl<'t> AnalysisSession<'t> {
                 let provider = StratifiedProvider::new(&values, &self.config.dissim, index)
                     .with_swar(self.config.swar)
                     .with_counters(Arc::clone(&self.neighbor_counters));
-                let selection =
-                    auto_configure_parallel(&provider, &self.config.autoconf, self.config.threads);
+                let table = ensure_knn_table(&mut self.knn, &provider, threads);
+                let selection = auto_configure_with_knn(table, &self.config.autoconf);
                 let mean = selection
                     .is_err()
                     .then(|| pairwise_mean(&values, &self.config.dissim))
@@ -1084,14 +1091,9 @@ impl<'t> AnalysisSession<'t> {
             _ => {
                 let artifact = self.dissim.as_ref().expect("ensured");
                 let index = artifact.neighbors_built().expect("ensured");
-                let selection = match &self.knn {
-                    Some(table) => auto_configure_with_knn(table, &self.config.autoconf),
-                    None => auto_configure_parallel(
-                        &IndexedProvider::new(artifact.matrix(), index),
-                        &self.config.autoconf,
-                        self.config.threads,
-                    ),
-                };
+                let provider = IndexedProvider::new(artifact.matrix(), index);
+                let table = ensure_knn_table(&mut self.knn, &provider, threads);
+                let selection = auto_configure_with_knn(table, &self.config.autoconf);
                 let mean = selection
                     .is_err()
                     .then(|| artifact.matrix().mean())
@@ -1154,7 +1156,13 @@ impl<'t> AnalysisSession<'t> {
                     let forest = self.vpforest.as_ref().expect("ensured");
                     let provider = VpProvider::new(&values, &self.config.dissim, forest)
                         .with_swar(self.config.swar);
-                    cluster_with_provider(&self.config, &provider, None, &selected, &weights)
+                    cluster_with_provider(
+                        &self.config,
+                        &provider,
+                        &mut self.knn,
+                        &selected,
+                        &weights,
+                    )
                 }
                 NeighborBackend::Stratified => {
                     let values: Vec<&[u8]> = store.segments.iter().map(|s| &s.value[..]).collect();
@@ -1162,7 +1170,13 @@ impl<'t> AnalysisSession<'t> {
                     let provider = StratifiedProvider::new(&values, &self.config.dissim, index)
                         .with_swar(self.config.swar)
                         .with_counters(Arc::clone(&self.neighbor_counters));
-                    cluster_with_provider(&self.config, &provider, None, &selected, &weights)
+                    cluster_with_provider(
+                        &self.config,
+                        &provider,
+                        &mut self.knn,
+                        &selected,
+                        &weights,
+                    )
                 }
                 _ => {
                     let artifact = self.dissim.as_ref().expect("ensured");
@@ -1171,7 +1185,7 @@ impl<'t> AnalysisSession<'t> {
                     cluster_with_provider(
                         &self.config,
                         &provider,
-                        self.knn.as_ref(),
+                        &mut self.knn,
                         &selected,
                         &weights,
                     )
@@ -1302,17 +1316,28 @@ impl<'t> AnalysisSession<'t> {
     }
 }
 
+/// The session's k-NN table, built with one
+/// [`NeighborProvider::knn_table`] pass over `provider` when the
+/// session has none yet (a fresh selection, or a selection served from
+/// the store).
+fn ensure_knn_table<'k, P: NeighborProvider + Sync>(
+    knn: &'k mut Option<KnnTable>,
+    provider: &P,
+    threads: usize,
+) -> &'k KnnTable {
+    knn.get_or_insert_with(|| provider.knn_table(required_k_max(provider.len()), threads))
+}
+
 /// Occurrence-weighted DBSCAN at the selected parameters, plus the
 /// §III-E dominating-cluster re-configuration on the trimmed ECDF —
 /// over any neighbor backend. Returns the labels and, when the trimmed
-/// rerun fired, the re-selected parameters. Tiled sessions pass their
-/// merged `knn` table so the trimmed selection reuses it; every other
-/// backend answers the k-dist queries through the provider. All paths
-/// are pinned bit-identical.
+/// rerun fired, the re-selected parameters. The trimmed selection reads
+/// the session's `knn` table, building it only if the selection stage
+/// did not (a store hit). All paths are pinned bit-identical.
 fn cluster_with_provider<P: NeighborProvider + Sync>(
     config: &FieldTypeClusterer,
     provider: &P,
-    knn: Option<&KnnTable>,
+    knn: &mut Option<KnnTable>,
     selected: &SelectedParams,
     weights: &[usize],
 ) -> (Clustering, Option<(SelectedParams, EpsilonSource)>) {
@@ -1333,10 +1358,8 @@ fn cluster_with_provider<P: NeighborProvider + Sync>(
             max_dissimilarity: Some(selected.epsilon),
             ..config.autoconf
         };
-        let trimmed = match knn {
-            Some(table) => auto_configure_with_knn(table, &trimmed_config),
-            None => auto_configure_parallel(provider, &trimmed_config, threads),
-        };
+        let trimmed =
+            auto_configure_with_knn(ensure_knn_table(knn, provider, threads), &trimmed_config);
         if let Ok(p) = trimmed {
             if p.epsilon < selected.epsilon {
                 clustering = dbscan_weighted_parallel_with_provider(

@@ -10,6 +10,7 @@
 use crate::segments::SegmentStore;
 use protocols::{FieldKind, TrueField};
 use segment::{MessageSegments, TraceSegmentation};
+use std::collections::BTreeMap;
 use trace::Trace;
 
 /// Converts per-message ground-truth fields into a segmentation.
@@ -36,13 +37,13 @@ pub fn truth_segmentation(trace: &Trace, ground_truth: &[Vec<TrueField>]) -> Tra
 }
 
 /// The dominant true [`FieldKind`] for one byte range of one message:
-/// the kind whose fields overlap the range with the most bytes.
+/// the kind whose fields overlap the range with the most bytes, the
+/// smallest such kind on a tie.
 ///
 /// Returns `None` when the range overlaps no field (cannot happen for
 /// tiling ground truth).
 pub fn dominant_kind(fields: &[TrueField], range: &std::ops::Range<usize>) -> Option<FieldKind> {
-    let mut best: Option<(FieldKind, usize)> = None;
-    let mut acc: std::collections::HashMap<FieldKind, usize> = std::collections::HashMap::new();
+    let mut acc: BTreeMap<FieldKind, usize> = BTreeMap::new();
     for f in fields {
         let overlap_start = f.offset.max(range.start);
         let overlap_end = (f.offset + f.len).min(range.end);
@@ -50,16 +51,13 @@ pub fn dominant_kind(fields: &[TrueField], range: &std::ops::Range<usize>) -> Op
             *acc.entry(f.kind).or_insert(0) += overlap_end - overlap_start;
         }
     }
-    for (kind, bytes) in acc {
-        if best.is_none_or(|(_, b)| bytes > b) {
-            best = Some((kind, bytes));
-        }
-    }
-    best.map(|(k, _)| k)
+    top_vote(acc)
 }
 
 /// Labels every clusterable unique segment of a store with its dominant
-/// true kind, majority-voted over all instances (byte-weighted).
+/// true kind, majority-voted over all instances (byte-weighted); a tie
+/// goes to the smallest kind, so the labels do not depend on instance
+/// order or on hashing.
 ///
 /// # Panics
 ///
@@ -69,26 +67,34 @@ pub fn label_store(store: &SegmentStore, ground_truth: &[Vec<TrueField>]) -> Vec
         .segments
         .iter()
         .map(|seg| {
-            let mut votes: std::collections::HashMap<FieldKind, usize> =
-                std::collections::HashMap::new();
+            let mut votes: BTreeMap<FieldKind, usize> = BTreeMap::new();
             for inst in &seg.instances {
                 let fields = &ground_truth[inst.message];
                 if let Some(kind) = dominant_kind(fields, &inst.range) {
                     *votes.entry(kind).or_insert(0) += inst.range.len();
                 }
             }
-            votes
-                .into_iter()
-                .max_by_key(|&(_, v)| v)
-                .map(|(k, _)| k)
-                .expect("every instance overlaps ground-truth fields")
+            top_vote(votes).expect("every instance overlaps ground-truth fields")
         })
         .collect()
+}
+
+/// The kind with the most votes; ascending iteration plus a strict
+/// comparison hands ties to the smallest kind.
+fn top_vote(votes: BTreeMap<FieldKind, usize>) -> Option<FieldKind> {
+    let mut best: Option<(FieldKind, usize)> = None;
+    for (kind, v) in votes {
+        if best.is_none_or(|(_, b)| v > b) {
+            best = Some((kind, v));
+        }
+    }
+    best.map(|(k, _)| k)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::segments::{SegmentInstance, UniqueSegment};
     use protocols::{corpus, Protocol};
 
     #[test]
@@ -139,6 +145,58 @@ mod tests {
         // NTP ground truth contains timestamps; they must be labelled so.
         let has_ts = labels.contains(&FieldKind::Timestamp);
         assert!(has_ts);
+    }
+
+    #[test]
+    fn vote_ties_go_to_the_smallest_kind_in_any_order() {
+        let field = |offset, kind| TrueField {
+            offset,
+            len: 2,
+            kind,
+            name: "f",
+        };
+        // Two bytes of each kind under one range: a three-way tie.
+        let fields = vec![
+            field(0, FieldKind::Timestamp),
+            field(2, FieldKind::Enum),
+            field(4, FieldKind::Id),
+        ];
+        let mut permuted = fields.clone();
+        for _ in 0..3 {
+            permuted.rotate_left(1);
+            assert_eq!(dominant_kind(&permuted, &(0..6)), Some(FieldKind::Enum));
+        }
+
+        // One unique segment whose instances split their byte votes
+        // evenly between two kinds, in every instance order.
+        let gt = vec![
+            vec![field(0, FieldKind::Timestamp)],
+            vec![field(0, FieldKind::UInt)],
+            vec![field(0, FieldKind::Timestamp)],
+            vec![field(0, FieldKind::UInt)],
+        ];
+        let instances: Vec<SegmentInstance> = (0..4)
+            .map(|message| SegmentInstance {
+                message,
+                range: 0..2,
+            })
+            .collect();
+        let mut first = None;
+        for rotation in 0..4 {
+            let mut order = instances.clone();
+            order.rotate_left(rotation);
+            order.swap(0, rotation % 2 + 1);
+            let store = SegmentStore {
+                segments: vec![UniqueSegment {
+                    value: vec![1, 2],
+                    instances: order,
+                }],
+                excluded: Vec::new(),
+            };
+            let labels = label_store(&store, &gt);
+            assert_eq!(labels, vec![FieldKind::UInt], "rotation {rotation}");
+            assert_eq!(*first.get_or_insert(labels.clone()), labels);
+        }
     }
 
     #[test]

@@ -97,14 +97,9 @@ fn assert_staged_matches_reference(
     let mut session = AnalysisSession::new(trace, config);
     session.set_segmentation(segmentation);
     let staged = session.finish().expect("staged pipeline");
-    let tiled = session
-        .config()
-        .effective_tile_rows(ref_store.segments.len())
-        .is_some();
-    assert_eq!(
+    assert!(
         session.knn_table().is_some(),
-        tiled,
-        "{label}: tiled sessions keep their merged k-NN table, others don't"
+        "{label}: every session keeps the k-NN table its selection read"
     );
 
     // The kernel-layer matrix build (LUT + early-abandon windows +
@@ -601,8 +596,8 @@ fn all_neighbor_backends_are_bit_identical() {
                     "{tag}: vptree backend must build its forest"
                 );
                 assert!(
-                    session.knn_table().is_none(),
-                    "{tag}: vptree backend must not build a k-NN table"
+                    session.knn_table().is_some(),
+                    "{tag}: vptree backend keeps its one-pass k-NN table"
                 );
             }
             if stratified {
@@ -611,8 +606,8 @@ fn all_neighbor_backends_are_bit_identical() {
                     "{tag}: stratified backend must build its index"
                 );
                 assert!(
-                    session.knn_table().is_none(),
-                    "{tag}: stratified backend must not build a k-NN table"
+                    session.knn_table().is_some(),
+                    "{tag}: stratified backend keeps its one-pass k-NN table"
                 );
                 let (evals, _, _) = session.neighbor_counters();
                 assert!(evals > 0, "{tag}: stratified queries must count evals");

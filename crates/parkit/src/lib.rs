@@ -7,13 +7,16 @@
 //! `thread::scope` + `AtomicUsize` blocks that used to be copy-pasted
 //! across `dissim::matrix`, `dissim::kernel`, and `dissim::neighbor`
 //! shared that shape but not their load-balancing logic; this crate
-//! centralizes it behind two entry points:
+//! centralizes it behind three entry points:
 //!
 //! - [`for_each_chunk`]: covers `0..items` with disjoint, non-empty
 //!   chunks, each handed to the callback exactly once.
 //! - [`map_parts`]: like [`for_each_chunk`] but each worker folds the
 //!   chunks it processes into its own accumulator; the per-worker
 //!   accumulators are returned for the caller to merge.
+//! - [`collect_chunks`]: the safe per-index slot writer — each chunk
+//!   appends its indices' outputs, and the outputs come back
+//!   concatenated in index order.
 //!
 //! # Scheduling
 //!
@@ -304,6 +307,49 @@ where
     accs
 }
 
+/// The safe disjoint-slot writer: covers `0..items` like
+/// [`for_each_chunk`], lets `f` append the outputs of each chunk's
+/// indices to a chunk-local vector, and returns the chunk outputs
+/// concatenated in index order.
+///
+/// `f(chunk, out)` must append the outputs of `chunk`'s indices in
+/// ascending index order — usually one value per index, but a fixed
+/// stride (a row of values per index) works the same way. Because each
+/// chunk's output is placed by its start index, the result equals the
+/// serial `f(0..items, out)` whatever the schedule, which makes it the
+/// replacement for raw-pointer slot writes. Per-chunk scratch (query
+/// buffers, heaps) can live inside `f`.
+pub fn collect_chunks<T, F>(threads: usize, items: usize, min_chunk: usize, f: F) -> Vec<T>
+where
+    T: Send,
+    F: Fn(Range<usize>, &mut Vec<T>) + Sync,
+{
+    let mut runs: Vec<(usize, Vec<T>)> = map_parts(
+        threads,
+        items,
+        min_chunk,
+        Vec::new,
+        |runs: &mut Vec<(usize, Vec<T>)>, chunk| {
+            let start = chunk.start;
+            let mut out = Vec::with_capacity(chunk.len());
+            f(chunk, &mut out);
+            runs.push((start, out));
+        },
+    )
+    .into_iter()
+    .flatten()
+    .collect();
+    if runs.len() == 1 {
+        return runs.pop().expect("one run").1;
+    }
+    runs.sort_unstable_by_key(|&(start, _)| start);
+    let mut out = Vec::with_capacity(runs.iter().map(|(_, r)| r.len()).sum());
+    for (_, run) in runs {
+        out.extend(run);
+    }
+    out
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -405,6 +451,32 @@ mod tests {
             );
             let total: u64 = parts.into_iter().sum();
             assert_eq!(total, (0..1000u64).sum::<u64>(), "threads = {threads}");
+        }
+    }
+
+    #[test]
+    fn collect_chunks_matches_serial_map() {
+        for threads in [1, 2, 4] {
+            for items in [0, 1, 7, 1000] {
+                let out = collect_chunks(threads, items, 3, |chunk, out| {
+                    out.extend(chunk.map(|i| i * 7 + 1));
+                });
+                let expected: Vec<usize> = (0..items).map(|i| i * 7 + 1).collect();
+                assert_eq!(out, expected, "threads = {threads} items = {items}");
+            }
+        }
+    }
+
+    #[test]
+    fn collect_chunks_keeps_strided_rows_in_order() {
+        let rows = collect_chunks(4, 500, 1, |chunk, out| {
+            for i in chunk {
+                out.extend([i as u32, i as u32 + 1, i as u32 + 2]);
+            }
+        });
+        assert_eq!(rows.len(), 1500);
+        for (i, row) in rows.chunks(3).enumerate() {
+            assert_eq!(row, [i as u32, i as u32 + 1, i as u32 + 2]);
         }
     }
 

@@ -58,6 +58,25 @@ cmp "$tmp/backend-matrix.md" "$tmp/backend-stratified.md"
 grep -Eq 'neighbors: kernel_evals=[1-9][0-9]* pruned=[1-9][0-9]*' "$tmp/backend-stratified.err"
 echo "backend smoke test: matrix, tiled, vptree, vptree+swar and stratified reports are byte-identical"
 
+# SMB leg of the backend smoke test: the NTP capture above barely
+# merges, while this SMB capture's mixed-length segments merge over
+# four refinement rounds, so it exercises the merge state carried from
+# round to round. Its reports must be byte-identical across the matrix
+# and stratified backends and across 1 and 4 threads.
+cargo run --release -q -p cli -- generate smb 300 "$tmp/smb.pcap" --seed 5
+cargo run --release -q -p cli -- analyze "$tmp/smb.pcap" --neighbor-backend matrix \
+    --threads 1 --report "$tmp/smb-matrix-t1.md"
+cargo run --release -q -p cli -- analyze "$tmp/smb.pcap" --neighbor-backend stratified \
+    --threads 1 --report "$tmp/smb-stratified-t1.md"
+cargo run --release -q -p cli -- analyze "$tmp/smb.pcap" --neighbor-backend stratified \
+    --threads 4 --report "$tmp/smb-stratified-t4.md"
+cargo run --release -q -p cli -- analyze "$tmp/smb.pcap" --neighbor-backend matrix \
+    --threads 4 --report "$tmp/smb-matrix-t4.md"
+cmp "$tmp/smb-matrix-t1.md" "$tmp/smb-stratified-t1.md"
+cmp "$tmp/smb-matrix-t1.md" "$tmp/smb-stratified-t4.md"
+cmp "$tmp/smb-matrix-t1.md" "$tmp/smb-matrix-t4.md"
+echo "smb backend smoke test: matrix and stratified reports at 1 and 4 threads are byte-identical"
+
 # Peak-RSS smoke test: the tiled out-of-core build at u=2000 must stay
 # under a fixed 16 MiB budget — below what materializing the full
 # condensed matrix (16 MB at u=2000) on top of the process baseline
