@@ -103,38 +103,66 @@ impl CondensedMatrix {
     /// Builds the matrix in parallel over all rows on the `parkit`
     /// work-stealing scheduler.
     ///
-    /// `f` must be pure; row ranges are stolen dynamically so irregular
-    /// row costs (long segments) balance across cores, and every entry
-    /// is written to its own condensed slot — the result is bit-identical
+    /// `f` must be pure; rows are stolen dynamically so irregular row
+    /// costs (long segments) balance across cores, and every entry is
+    /// written to its own condensed slot — the result is bit-identical
     /// to [`build`](Self::build) regardless of scheduling.
     pub fn build_parallel(
         n: usize,
         threads: usize,
         f: impl Fn(usize, usize) -> f64 + Sync,
     ) -> Self {
-        let threads = threads.max(1);
-        if n < 2 || threads == 1 {
-            return Self::build(n, f);
-        }
-        let total = n * (n - 1) / 2;
-        let mut data = vec![0.0f64; total];
-        let data_ptr = SendPtr(data.as_mut_ptr());
-        // The last row has no pairs (j > i required), so n - 1 rows.
-        parkit::for_each_chunk(threads, n - 1, 1, |rows| {
-            let data_ptr = &data_ptr;
-            for i in rows {
-                let row_start = condensed_index(n, i, i + 1);
-                for j in (i + 1)..n {
-                    let v = f(i, j);
-                    // SAFETY: each (i, j) pair maps to a unique condensed
-                    // index and the scheduler hands out each row exactly
-                    // once, so writes never alias.
-                    unsafe {
-                        *data_ptr.0.add(row_start + (j - i - 1)) = v;
-                    }
+        Self::build_rows(
+            n,
+            threads,
+            || (),
+            |(), i, row| {
+                for (j, v) in ((i + 1)..n).zip(row.iter_mut()) {
+                    *v = f(i, j);
                 }
+            },
+        )
+    }
+
+    /// The safe parallel row writer: fills the condensed buffer row by
+    /// row on the `parkit` work-stealing scheduler.
+    ///
+    /// `f(scratch, i, row)` writes the entries `(i, j)` for
+    /// `j = i + 1 .. n`, in `j` order, into `row`
+    /// (`row.len() == n − 1 − i`). The buffer is split into its rows
+    /// with `split_at_mut` before any worker starts, so `f` writes the
+    /// final matrix in place: nothing is copied afterwards. Each worker
+    /// gets its own `scratch`, made by `init` on the calling thread, and
+    /// reuses it for every row it claims.
+    ///
+    /// The result does not depend on the schedule as long as each row
+    /// depends only on `i` (not on what the scratch held before).
+    pub fn build_rows<S: Send>(
+        n: usize,
+        threads: usize,
+        init: impl Fn() -> S,
+        f: impl Fn(&mut S, usize, &mut [f64]) + Sync,
+    ) -> Self {
+        let mut data = vec![0.0f64; n * n.saturating_sub(1) / 2];
+        {
+            // One slot per row, each claimed exactly once by the
+            // scheduler, so the locks never contend.
+            let mut rows = Vec::with_capacity(n.saturating_sub(1));
+            let mut rest = data.as_mut_slice();
+            for i in 0..n.saturating_sub(1) {
+                let (row, tail) = std::mem::take(&mut rest).split_at_mut(n - 1 - i);
+                rows.push(std::sync::Mutex::new(row));
+                rest = tail;
             }
-        });
+            parkit::map_parts(threads.max(1), rows.len(), 1, init, |scratch, chunk| {
+                for i in chunk {
+                    let mut row = rows[i]
+                        .lock()
+                        .expect("each row is locked once, so never poisoned");
+                    f(scratch, i, &mut row);
+                }
+            });
+        }
         Self { n, data }
     }
 
@@ -262,11 +290,6 @@ pub(crate) fn condensed_index(n: usize, i: usize, j: usize) -> usize {
     i * (2 * n - i - 1) / 2 + (j - i - 1)
 }
 
-/// A raw pointer wrapper that asserts cross-thread transferability for
-/// the disjoint-write pattern in [`CondensedMatrix::build_parallel`].
-struct SendPtr(*mut f64);
-unsafe impl Sync for SendPtr {}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -308,6 +331,34 @@ mod tests {
         for threads in [2, 3, 8] {
             let par = CondensedMatrix::build_parallel(40, threads, f);
             assert_eq!(serial, par, "threads = {threads}");
+        }
+    }
+
+    #[test]
+    fn build_rows_fills_each_row_with_per_worker_scratch() {
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        let f = |i: usize, j: usize| ((i * 31 + j * 17) % 100) as f64 / 100.0;
+        for n in [0usize, 1, 2, 5, 40] {
+            let serial = CondensedMatrix::build(n, f);
+            for threads in [1, 2, 3, 8] {
+                let inits = AtomicUsize::new(0);
+                let m = CondensedMatrix::build_rows(
+                    n,
+                    threads,
+                    || {
+                        inits.fetch_add(1, Ordering::Relaxed);
+                        Vec::new()
+                    },
+                    |buf: &mut Vec<f64>, i, row| {
+                        assert_eq!(row.len(), n - 1 - i);
+                        buf.clear();
+                        buf.extend(((i + 1)..n).map(|j| f(i, j)));
+                        row.copy_from_slice(buf);
+                    },
+                );
+                assert_eq!(m, serial, "n = {n}, threads = {threads}");
+                assert!(inits.load(Ordering::Relaxed) <= threads);
+            }
         }
     }
 

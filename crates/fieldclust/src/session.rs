@@ -526,11 +526,14 @@ impl<'t> AnalysisSession<'t> {
     ///
     /// # Errors
     ///
-    /// See [`segment_matrix`](Self::segment_matrix).
+    /// [`MessageTypeError::InvalidGapPenalty`] unless `gap_penalty` is
+    /// finite and non-negative (`-0.0` counts as negative); otherwise
+    /// see [`segment_matrix`](Self::segment_matrix).
     pub fn message_matrix(
         &mut self,
         gap_penalty: f64,
     ) -> Result<&CondensedMatrix, MessageTypeError> {
+        msgtype::check_gap_penalty(gap_penalty)?;
         if self
             .msg_dissim
             .as_ref()
@@ -563,14 +566,15 @@ impl<'t> AnalysisSession<'t> {
                         let store = self.full_store.as_ref().expect("ensured");
                         let seg_matrix = self.full_dissim.as_ref().expect("ensured").matrix();
                         let sequences = msgtype::segment_sequences(n, store);
-                        DissimArtifact::compute(n, self.config.threads, |a, b| {
-                            msgtype::align_cost(
-                                &sequences[a],
-                                &sequences[b],
+                        DissimArtifact::from_matrix(
+                            msgtype::message_matrix(
+                                &sequences,
                                 seg_matrix,
                                 gap_penalty,
-                            )
-                        })
+                                self.config.threads,
+                            ),
+                            self.config.threads,
+                        )
                     };
                     if let (Some(cache), Some(key)) = (self.cache.as_ref(), &msg_key) {
                         cache.put(key, &computed);
@@ -623,12 +627,13 @@ impl<'t> AnalysisSession<'t> {
     ///
     /// # Errors
     ///
-    /// See [`segment_matrix`](Self::segment_matrix).
+    /// See [`message_matrix`](Self::message_matrix).
     pub fn state_machine(
         &mut self,
         config: &StateMachineConfig,
     ) -> Result<statemachine::StateMachine, MessageTypeError> {
         self.check_cancelled_msg()?;
+        msgtype::check_gap_penalty(config.msgtype.gap_penalty)?;
         let n = self.trace.len();
         // Gated on the same preconditions the compute path errors on,
         // so a hit can never mask a MissingSegmentation/TooFewMessages
@@ -1547,6 +1552,84 @@ mod tests {
         let stats = warm.cache_stats().expect("store attached");
         assert_eq!(stats.misses, 0, "warm run must rebuild nothing: {stats}");
         assert_eq!(stats.writes, 0, "warm run must write nothing: {stats}");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn message_matrix_matches_the_alignment_oracle() {
+        use segment::nemesys::Nemesys;
+        for protocol in [Protocol::Ntp, Protocol::Dhcp, Protocol::Smb] {
+            let trace = corpus::build_trace(protocol, 50, 13);
+            for threads in [1, 4] {
+                let config = FieldTypeClusterer {
+                    threads,
+                    ..FieldTypeClusterer::default()
+                };
+                let mut s = AnalysisSession::new(&trace, config);
+                s.segment_with(&Nemesys::default()).unwrap();
+                let m = s.message_matrix(0.8).unwrap().clone();
+                let store = s.full_store.as_ref().expect("built for the alignment");
+                let seg = s.full_dissim.as_ref().expect("built").matrix();
+                let sequences = msgtype::segment_sequences(trace.len(), store);
+                for i in 0..trace.len() {
+                    for j in (i + 1)..trace.len() {
+                        let want = msgtype::align_cost(&sequences[i], &sequences[j], seg, 0.8);
+                        assert_eq!(
+                            m.get(i, j).to_bits(),
+                            want.to_bits(),
+                            "{protocol:?} threads {threads} pair ({i}, {j})"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn invalid_gap_penalties_are_rejected_without_aligning() {
+        let dir = std::env::temp_dir().join(format!("fieldclust-gap-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let (_, mut s) = session_for(Protocol::Ntp, 30, 3);
+        s.set_store(ArtifactStore::open(&dir).expect("open store"));
+        let m8 = s.message_matrix(0.8).unwrap() as *const CondensedMatrix;
+        let before = s.cache_stats().expect("store attached");
+        for gap in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, -0.5, -0.0] {
+            // Twice each: a NaN never equals the memoized penalty, so it
+            // used to realign on every call.
+            for _ in 0..2 {
+                match s.message_matrix(gap) {
+                    Err(MessageTypeError::InvalidGapPenalty(g)) => {
+                        assert_eq!(g.to_bits(), gap.to_bits());
+                    }
+                    other => panic!("gap {gap}: expected InvalidGapPenalty, got {other:?}"),
+                }
+            }
+            let config = MessageTypeConfig {
+                gap_penalty: gap,
+                ..MessageTypeConfig::default()
+            };
+            assert!(matches!(
+                s.message_types(&config),
+                Err(MessageTypeError::InvalidGapPenalty(_))
+            ));
+            let fsm = crate::fsm::StateMachineConfig {
+                msgtype: config,
+                ..Default::default()
+            };
+            assert!(matches!(
+                s.state_machine(&fsm),
+                Err(MessageTypeError::InvalidGapPenalty(_))
+            ));
+        }
+        // Nothing was aligned, probed or stored, and the memoized matrix
+        // is still the one served.
+        let after = s.cache_stats().expect("store attached");
+        assert_eq!(
+            (before.hits, before.misses, before.writes),
+            (after.hits, after.misses, after.writes)
+        );
+        assert_eq!(m8, s.message_matrix(0.8).unwrap() as *const CondensedMatrix);
+        assert!(s.message_matrix(0.0).is_ok());
         let _ = std::fs::remove_dir_all(&dir);
     }
 

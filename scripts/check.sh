@@ -77,6 +77,28 @@ cmp "$tmp/smb-matrix-t1.md" "$tmp/smb-stratified-t4.md"
 cmp "$tmp/smb-matrix-t1.md" "$tmp/smb-matrix-t4.md"
 echo "smb backend smoke test: matrix and stratified reports at 1 and 4 threads are byte-identical"
 
+# DHCP message-type leg: most of this capture's report time is the
+# alignment of every message pair (the message matrix). Its report must
+# be byte-identical at 1 and 4 threads, and a warm run, which serves
+# the message matrix from the store instead of aligning, must reproduce
+# the cold report.
+cargo run --release -q -p cli -- generate dhcp 200 "$tmp/dhcp.pcap" --seed 5
+cargo run --release -q -p cli -- analyze "$tmp/dhcp.pcap" --threads 1 \
+    --report "$tmp/dhcp-t1.md"
+cargo run --release -q -p cli -- analyze "$tmp/dhcp.pcap" --threads 4 \
+    --report "$tmp/dhcp-t4.md"
+cmp "$tmp/dhcp-t1.md" "$tmp/dhcp-t4.md"
+grep -q '^## Message types' "$tmp/dhcp-t1.md"
+cargo run --release -q -p cli -- analyze "$tmp/dhcp.pcap" --cache-dir "$tmp/dhcp-cache" \
+    --report "$tmp/dhcp-cold.md" 2>"$tmp/dhcp-cold.err"
+cargo run --release -q -p cli -- analyze "$tmp/dhcp.pcap" --cache-dir "$tmp/dhcp-cache" \
+    --report "$tmp/dhcp-warm.md" 2>"$tmp/dhcp-warm.err"
+grep -q 'cache: hits=0' "$tmp/dhcp-cold.err"
+grep -Eq 'cache: hits=[1-9][0-9]* misses=0 writes=0' "$tmp/dhcp-warm.err"
+cmp "$tmp/dhcp-cold.md" "$tmp/dhcp-warm.md"
+cmp "$tmp/dhcp-t1.md" "$tmp/dhcp-cold.md"
+echo "dhcp msgtype smoke test: reports at 1 and 4 threads and cold and warm are byte-identical"
+
 # Peak-RSS smoke test: the tiled out-of-core build at u=2000 must stay
 # under a fixed 16 MiB budget — below what materializing the full
 # condensed matrix (16 MB at u=2000) on top of the process baseline
